@@ -13,6 +13,8 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from repro.bdd import transfer
+
 from .common import CheckError
 
 #: Rows of a truth table evaluated at once (bounds numpy memory).
@@ -129,23 +131,6 @@ def check_factors(name: str, f, g, h) -> None:
 # Reached sets
 # ----------------------------------------------------------------------
 
-def transfer(f, target):
-    """Rebuild ``f`` in manager ``target`` by Shannon expansion on the
-    variable names, so sets from two managers can be compared."""
-    memo: dict = {}
-
-    def build(g):
-        if g.is_true:
-            return target.true
-        if g.is_false:
-            return target.false
-        key = g.handle
-        if key not in memo:
-            memo[key] = target.var(g.var).ite(build(g.hi), build(g.lo))
-        return memo[key]
-    return build(f)
-
-
 def check_reached(name: str, reached, encoded, image, traces) -> None:
     """Properties every exact reached set has.
 
@@ -169,7 +154,7 @@ def check_reached(name: str, reached, encoded, image, traces) -> None:
 
 def check_same_set(name: str, reached, other) -> None:
     """Two reached sets, from different managers, must be equal."""
-    if transfer(other, reached.manager) != reached:
+    if transfer(other, reached.manager, declare=False) != reached:
         raise CheckError(f"{name}: high-density and BFS reached sets "
                          f"differ")
 

@@ -23,13 +23,6 @@ def quantile(values: list[float], q: float) -> float:
     return ordered[low] + (ordered[high] - ordered[low]) * (pos - low)
 
 
-def geomean(ratios: list[float]) -> float:
-    """Geometric mean of positive ratios."""
-    if not ratios:
-        raise ValueError("geometric mean of an empty sample")
-    return math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-
-
 def vm_hwm_mb(pid: int | str = "self") -> float:
     """Peak resident set size (``VmHWM``) of a process, in MiB."""
     with open(f"/proc/{pid}/status") as status:
@@ -110,6 +103,16 @@ class Round:
     layer: dict[str, float] = field(default_factory=dict)
     #: failed correctness checks, one message each
     errors: list[str] = field(default_factory=list)
+
+    def geomean(self, name: str, ratios: list[float]) -> float:
+        """Geometric mean of an exact figure's positive ratios.  With no
+        ratios (every operation behind them failed) it records an error
+        and reads 0."""
+        if not ratios:
+            self.errors.append(f"no {name}: every operation behind them "
+                               f"failed")
+            return 0.0
+        return math.exp(sum(math.log(r) for r in ratios) / len(ratios))
 
     def check(self, fn, *args) -> None:
         """Run one correctness check, recording a failure."""

@@ -18,7 +18,7 @@ from repro.core.decomp import DECOMPOSERS, decompose
 from repro.harness.population import build_entries, population_specs
 
 from . import checks
-from .common import Round, cache_counters, counter_delta, geomean, vm_hwm_mb
+from .common import Round, cache_counters, counter_delta, vm_hwm_mb
 from .spans import Tracer, call, traced_sizes
 
 MIN_NODES = 300
@@ -110,6 +110,7 @@ def run_round(seed: int, tracer: Tracer | None = None,
         if name in counts:
             out.check(checks.check_count, name, f.sat_count(), counts[name])
     out.exact = {"peak_nodes": peak_nodes,
-                 "subset_density_gain": geomean(gains),
-                 "decomp_factor_ratio": geomean(ratios)}
+                 "subset_density_gain": out.geomean("density gains", gains),
+                 "decomp_factor_ratio": out.geomean("factor ratios",
+                                                    ratios)}
     return out

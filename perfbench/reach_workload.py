@@ -2,9 +2,11 @@
 
 On each circuit one exact BFS and one high-density traversal run, each
 on its own freshly encoded circuit, so neither reuses the other's
-computed table.  An operation is one traversal iteration: the span from
-one image call to the next, which holds the image, the set algebra, the
-size bookkeeping and, for high density, the subsetting.
+computed table.  An operation is one row of Table 1: a circuit's BFS
+and its high-density traversal.  A round has three, however many
+iterations the traversals take, so operations per second are
+proportional to 1/(bfs_s + hd_s).  An operation fails if either of its
+traversals raises.
 
 Circuits (fixed; the seed draws only the simulation traces):
 
@@ -17,7 +19,9 @@ Circuits (fixed; the seed draws only the simulation traces):
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -31,7 +35,7 @@ from repro.reach import (TransitionRelation, bfs_reachability,
                          high_density_reachability)
 
 from . import checks
-from .common import Round, cache_counters, counter_delta, geomean, vm_hwm_mb
+from .common import Round, cache_counters, counter_delta, vm_hwm_mb
 from .inputs import simulation_traces
 from .spans import Tracer, call, traced_sizes
 
@@ -47,6 +51,14 @@ CIRCUITS = (
 #: root.
 REFERENCE = (Path(__file__).parent / "reference"
              / "pipeline_controller_3x3.json")
+
+#: Set-ups of each traversal in an untraced round, made right before
+#: it: the traversal runs on the last, and the round's ``setup_s`` is the
+#: sum over its six traversals of the median set-up.  Spread over the
+#: round, the samples average out the host's speed, which shifts within
+#: seconds.  A traced round sets up once, so its ``fsm.encode_s`` and
+#: ``reach.tr_build_s`` are one set-up's.
+SETUPS = 3
 
 #: Simulation traces checked against every BFS reached set.
 TRACE_COUNT, TRACE_LENGTH = 8, 48
@@ -71,25 +83,27 @@ class _Problem:
         self.init = self.encoded.initial_states()
 
 
-def _setup(tracer: Tracer | None) -> list[_Problem]:
-    return [_Problem(make, args, kind, method, tracer)
-            for make, args, method in CIRCUITS
-            for kind in ("bfs", "hd")]
+def _set_up(make, args, kind: str, method: str,
+            tracer: Tracer | None) -> tuple[_Problem, float]:
+    """Set one traversal up; returns the problem and the median seconds
+    of its :data:`SETUPS` set-ups (one in a traced round)."""
+    samples = []
+    for number in range(SETUPS if tracer is None else 1):
+        if number:
+            problem = None
+            gc.collect()
+        begin = time.perf_counter()
+        problem = _Problem(make, args, kind, method, tracer)
+        samples.append(time.perf_counter() - begin)
+    return problem, statistics.median(samples)
 
 
 def _traverse(problem: _Problem, tracer: Tracer | None):
-    """Run one traversal; returns (result, iteration ms, subset pairs,
-    seconds).  Image calls are time-stamped through an instance
-    attribute that shadows ``TransitionRelation.image``."""
-    stamps: list[float] = []
-    image = problem.tr.image
-
-    def stamped(states, partial=None):
-        stamps.append(time.perf_counter())
-        return image(states, partial=partial)
-
-    problem.tr.image = (stamped if tracer is None
-                        else tracer.wrap("reach.image", stamped))
+    """Run one traversal; returns (result, subset pairs, seconds).  In
+    a traced round, image calls are traced through an instance attribute
+    that shadows ``TransitionRelation.image``."""
+    if tracer is not None:
+        problem.tr.image = tracer.wrap("reach.image", problem.tr.image)
     approximator = UNDER_APPROXIMATORS[problem.method]
     pairs = []
 
@@ -112,11 +126,10 @@ def _traverse(problem: _Problem, tracer: Tracer | None):
             result = call(tracer, "reach.hd", high_density_reachability,
                           problem.tr, problem.init, subset)
     finally:
-        end = time.perf_counter()
-        del problem.tr.image
-    bounds = [start] + stamps[1:] + [end]
-    op_ms = [(b - a) * 1000.0 for a, b in zip(bounds, bounds[1:])]
-    return result, op_ms, pairs, end - start
+        spent = time.perf_counter() - start
+        if tracer is not None:
+            del problem.tr.image
+    return result, pairs, spent
 
 
 def _check_reference(reached, state_vars, want: dict) -> None:
@@ -137,42 +150,52 @@ def prepare(seed: int) -> dict:
 def run_round(seed: int, tracer: Tracer | None = None,
               context: dict | None = None) -> Round:
     reference = context if context is not None else prepare(seed)
-    begin = time.perf_counter()
-    problems = _setup(tracer)
-    setup_s = time.perf_counter() - begin
-    managers = [p.encoded.manager for p in problems]
-    before = cache_counters(managers)
-    op_ms: list[float] = []
+    setup_s = 0.0
+    managers = []
+    counters: dict[str, float] = {}
+    row_ms: dict[str, float] = {}
     results = {}
     pairs = []
     seconds = {"bfs": 0.0, "hd": 0.0}
-    failed = 0
-    with traced_sizes(tracer):
-        for problem in problems:
+    for make, args, method in CIRCUITS:
+        for kind in ("bfs", "hd"):
+            problem, median_s = _set_up(make, args, kind, method, tracer)
+            setup_s += median_s
+            managers.append(problem.encoded.manager)
+            before = cache_counters(managers[-1:])
             try:
-                result, ms, dense, spent = _traverse(problem, tracer)
+                with traced_sizes(tracer):
+                    result, dense, spent = _traverse(problem, tracer)
             except Exception as exc:  # counted, reported, run goes on
-                failed += 1
-                print(f"reach: {problem.label} {problem.kind} raised "
-                      f"{exc!r}", file=sys.stderr)
+                print(f"reach: {problem.label} {kind} raised {exc!r}",
+                      file=sys.stderr)
                 continue
-            op_ms += ms
+            finally:
+                delta = counter_delta(cache_counters(managers[-1:]), before)
+                for key, value in delta.items():
+                    counters[key] = counters.get(key, 0) + value
+            row_ms[problem.label] = (row_ms.get(problem.label, 0.0)
+                                     + spent * 1000.0)
             pairs += dense
-            seconds[problem.kind] += spent
-            results[problem.label, problem.kind] = (problem, result)
-    counters = counter_delta(cache_counters(managers), before)
+            seconds[kind] += spent
+            results[problem.label, kind] = (problem, result)
     peak_nodes = sum(m.stats.peak_nodes for m in managers)
     peak_rss = vm_hwm_mb()
 
+    # A row whose two traversals both returned is one completed operation.
+    done = [_label(make, args) for make, args, _ in CIRCUITS
+            if all((_label(make, args), kind) in results
+                   for kind in ("bfs", "hd"))]
     out = Round(setup_s=setup_s, timed_s=sum(seconds.values()),
-                op_ms=op_ms, attempted=len(op_ms) + failed, failed=failed,
+                op_ms=[row_ms[label] for label in done],
+                attempted=len(CIRCUITS), failed=len(CIRCUITS) - len(done),
                 exact={}, peak_rss_mb=peak_rss, counters=counters,
                 layer={"reach.iterations": sum(
                     r.iterations for _, r in results.values())})
     ratios = []
     for make, args, _ in CIRCUITS:
         label = _label(make, args)
-        if (label, "bfs") not in results or (label, "hd") not in results:
+        if label not in done:
             continue
         problem, bfs = results[label, "bfs"]
         _, hd = results[label, "hd"]
@@ -192,6 +215,7 @@ def run_round(seed: int, tracer: Tracer | None = None,
     gains = [dense.density() / new.density() for new, dense in pairs
              if not dense.is_false]
     out.exact = {"peak_nodes": peak_nodes,
-                 "subset_density_gain": geomean(gains),
-                 "decomp_factor_ratio": geomean(ratios)}
+                 "subset_density_gain": out.geomean("density gains", gains),
+                 "decomp_factor_ratio": out.geomean("factor ratios",
+                                                    ratios)}
     return out

@@ -2,7 +2,7 @@
 
 From the repository root::
 
-    python3 perfbench/run.py --workload reach --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload reach --seed 1 --seconds 15 --trace 0
 
 The run repeats whole rounds of the workload, each on fresh managers (or
 a fresh daemon), until the timed work adds up to ``--seconds``.  Every

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import re
+import statistics
 import subprocess
 import sys
 import threading
@@ -27,10 +28,10 @@ import time
 from pathlib import Path
 
 from repro.core.decomp import DECOMPOSERS
-from repro.serve.client import Client
+from repro.serve.client import Client, ServerError
 
 from . import checks
-from .common import Round, cpu_seconds, geomean, quantile, vm_hwm_mb
+from .common import Round, cpu_seconds, quantile, vm_hwm_mb
 from .inputs import serve_scripts
 from .spans import Tracer, call
 
@@ -40,6 +41,10 @@ SESSIONS = 2
 DNFS, NVARS, TERMS, WIDTH = 24, 18, 16, 6
 APPROXIMATIONS = ("rua", "sp", "hb", "ua")
 BUDGETED = ("sp", "hb")
+#: Daemon boots per untraced round; the round's ``setup_s`` is their
+#: median and the last daemon serves the round.  A traced round boots
+#: once, so its ``serve.boot_s`` is one boot's.
+SETUPS = 3
 BANNER = re.compile(r"listening on (\S+):(\d+)")
 
 
@@ -80,7 +85,12 @@ class _Daemon:
 
 
 class _Session:
-    """One client session running its script; records every request."""
+    """One client session running its script; records every request.
+
+    A request answered with an error reply counts as failed; the DNF it
+    belonged to is abandoned (its handles are still released) and
+    leaves no outcome to check.  Connection errors end the session.
+    """
 
     def __init__(self, daemon: _Daemon, script, tracer: Tracer | None
                  ) -> None:
@@ -89,9 +99,12 @@ class _Session:
         self.tracer = tracer
         #: (category, milliseconds) per request
         self.latency: list[tuple[str, float]] = []
-        #: per DNF: f handle, count reply, approx replies, decomp
-        #: replies, leq answers, and-check handles
-        self.outcomes: list[dict] = []
+        #: requests answered with an error reply
+        self.failed = 0
+        #: per DNF, None if it was abandoned, else: f handle, count
+        #: reply, approx replies, decomp replies, leq answers, and-check
+        #: handles
+        self.outcomes: list[dict | None] = []
         self.stats: dict = {}
         self.error: BaseException | None = None
 
@@ -110,70 +123,92 @@ class _Session:
         start = time.perf_counter()
         try:
             return call(verb, params)
+        except ServerError:
+            self.failed += 1
+            raise
         finally:
             self.latency.append((category,
                                  (time.perf_counter() - start) * 1000.0))
 
     def _run(self, client: Client) -> None:
-        request = self._request
-        variables = [request(client, "build", "var", {"name": f"x{i}"})
-                     ["handle"] for i in range(NVARS)]
-        for cubes in self.script:
+        variables = [self._request(client, "build", "var",
+                                   {"name": f"x{i}"})["handle"]
+                     for i in range(NVARS)]
+        for number, cubes in enumerate(self.script):
             made: set[str] = set()
-            f = None
-            for cube in cubes:
-                term = None
-                for index, positive in cube:
-                    literal = variables[index] if positive else request(
-                        client, "build", "apply",
-                        {"op": "not", "f": variables[index]})["handle"]
-                    made.add(literal)
-                    term = literal if term is None else request(
-                        client, "build", "apply",
-                        {"op": "and", "f": term, "g": literal})["handle"]
-                    made.add(term)
-                f = term if f is None else request(
-                    client, "build", "apply",
-                    {"op": "or", "f": f, "g": term})["handle"]
-                made.add(f)
-            approx = {}
-            rua = approx["rua"] = request(
-                client, "analyze", "approx",
-                {"method": "rua", "f": f, "threshold": 0})
-            for method in APPROXIMATIONS[1:]:
-                budget = rua["nodes"] if method in BUDGETED else 0
-                approx[method] = request(
-                    client, "analyze", "approx",
-                    {"method": method, "f": f, "threshold": budget})
-            decomp = {method: request(client, "analyze", "decomp",
-                                      {"method": method, "f": f})
-                      for method in DECOMPOSERS}
-            count = request(client, "analyze", "count", {"f": f})
-            leq = {method: request(client, "check", "apply",
-                                   {"op": "leq", "f": reply["handle"],
-                                    "g": f})["value"]
-                   for method, reply in approx.items()}
-            conj = {method: request(client, "check", "apply",
-                                    {"op": "and", "f": reply["g"]["handle"],
-                                     "g": reply["h"]["handle"]})["handle"]
-                    for method, reply in decomp.items()}
-            made.update(reply["handle"] for reply in approx.values())
-            made.update(reply[side]["handle"] for reply in decomp.values()
-                        for side in ("g", "h"))
+            try:
+                self.outcomes.append(
+                    self._dnf(client, variables, cubes, made))
+            except ServerError as exc:
+                print(f"serve: dnf {number}: {exc}", file=sys.stderr)
+                self.outcomes.append(None)
             for handle in sorted(made - set(variables)):
-                request(client, "release", "release", {"f": handle})
-            self.outcomes.append({"f": f, "count": count, "approx": approx,
-                                  "decomp": decomp, "leq": leq,
-                                  "conj": conj})
+                try:
+                    self._request(client, "release", "release",
+                                  {"f": handle})
+                except ServerError:
+                    pass  # counted in self.failed
         self.stats = client.stats()["session"]["manager"]
+
+    def _dnf(self, client: Client, variables: list[str], cubes,
+             made: set[str]) -> dict:
+        """Build one DNF, analyse it and check the replies; every
+        handle made goes into ``made``."""
+        def request(category: str, verb: str, params: dict) -> dict:
+            reply = self._request(client, category, verb, params)
+            for key in ("handle", "g", "h"):
+                value = reply.get(key)
+                made.add(value["handle"] if isinstance(value, dict)
+                         else value)
+            made.discard(None)
+            return reply
+
+        f = None
+        for cube in cubes:
+            term = None
+            for index, positive in cube:
+                literal = variables[index] if positive else request(
+                    "build", "apply",
+                    {"op": "not", "f": variables[index]})["handle"]
+                term = literal if term is None else request(
+                    "build", "apply",
+                    {"op": "and", "f": term, "g": literal})["handle"]
+            f = term if f is None else request(
+                "build", "apply", {"op": "or", "f": f, "g": term})["handle"]
+        approx = {}
+        rua = approx["rua"] = request(
+            "analyze", "approx", {"method": "rua", "f": f, "threshold": 0})
+        for method in APPROXIMATIONS[1:]:
+            budget = rua["nodes"] if method in BUDGETED else 0
+            approx[method] = request(
+                "analyze", "approx",
+                {"method": method, "f": f, "threshold": budget})
+        decomp = {method: request("analyze", "decomp",
+                                  {"method": method, "f": f})
+                  for method in DECOMPOSERS}
+        count = request("analyze", "count", {"f": f})
+        leq = {method: request("check", "apply",
+                               {"op": "leq", "f": reply["handle"],
+                                "g": f})["value"]
+               for method, reply in approx.items()}
+        conj = {method: request("check", "apply",
+                                {"op": "and", "f": reply["g"]["handle"],
+                                 "g": reply["h"]["handle"]})["handle"]
+                for method, reply in decomp.items()}
+        return {"f": f, "count": count, "approx": approx, "decomp": decomp,
+                "leq": leq, "conj": conj}
 
 
 def run_round(seed: int, tracer: Tracer | None = None,
               context=None) -> Round:
     scripts, counts = context if context is not None else prepare(seed)
-    begin = time.perf_counter()
-    daemon = call(tracer, "serve.boot", _Daemon)
-    setup_s = time.perf_counter() - begin
+    boots = []
+    for number in range(SETUPS if tracer is None else 1):
+        if number:
+            daemon.stop()
+        begin = time.perf_counter()
+        daemon = call(tracer, "serve.boot", _Daemon)
+        boots.append(time.perf_counter() - begin)
     try:
         sessions = [_Session(daemon, script, tracer) for script in scripts]
         threads = [threading.Thread(target=s.run) for s in sessions]
@@ -199,8 +234,10 @@ def run_round(seed: int, tracer: Tracer | None = None,
         by_category.setdefault(category, []).append(ms)
     stats = [s.stats for s in sessions]
     out = Round(
-        setup_s=setup_s, timed_s=wall, op_ms=[ms for _, ms in latency],
-        attempted=len(latency), failed=0, exact={}, peak_rss_mb=peak_rss,
+        setup_s=statistics.median(boots), timed_s=wall,
+        op_ms=[ms for _, ms in latency], attempted=len(latency),
+        failed=sum(s.failed for s in sessions), exact={},
+        peak_rss_mb=peak_rss,
         counters={"cache_hits": sum(s["cache_hits"] for s in stats),
                   "cache_lookups": sum(s["cache_hits"] + s["cache_misses"]
                                        for s in stats),
@@ -217,6 +254,8 @@ def run_round(seed: int, tracer: Tracer | None = None,
     for session, session_counts in zip(sessions, counts):
         for number, (outcome, want) in enumerate(
                 zip(session.outcomes, session_counts)):
+            if outcome is None:
+                continue
             name = f"session dnf {number}"
             count = outcome["count"]
             out.check(checks.check_count, name, count["sat_count"], want)
@@ -234,6 +273,7 @@ def run_round(seed: int, tracer: Tracer | None = None,
                        / count["nodes"]
                        for reply in outcome["decomp"].values()]
     out.exact = {"peak_nodes": sum(s["peak_nodes"] for s in stats),
-                 "subset_density_gain": geomean(gains),
-                 "decomp_factor_ratio": geomean(ratios)}
+                 "subset_density_gain": out.geomean("density gains", gains),
+                 "decomp_factor_ratio": out.geomean("factor ratios",
+                                                    ratios)}
     return out

@@ -25,8 +25,10 @@ from repro.harness.population import (adder_carry, hidden_weighted_bit,
                                       multiplier_bit, random_dnf)
 from repro.reach import (TransitionRelation, bfs_reachability,
                          high_density_reachability)
+from repro.serve.client import Client
 
-from perfbench import checks, inputs, metrics, reach_workload
+from perfbench import (checks, inputs, metrics, reach_workload,
+                       serve_workload)
 from perfbench.common import CheckError, Round, quantile
 from perfbench.spans import Tracer
 
@@ -182,6 +184,30 @@ def test_explicit_states_match_bfs():
     states = checks.explicit_states(circuit)
     assert checks.reached_digest(reached, encoded.state_vars) == \
         (len(states), checks.state_digest(states))
+
+
+def test_serve_counts_an_error_reply_as_one_failed_request(monkeypatch):
+    rng = random.Random(5)
+    script = [inputs.random_cubes(rng, 6, 3, 2) for _ in range(2)]
+    counts = [checks.dnf_count(serve_workload.NVARS, cubes)
+              for cubes in script]
+    real_call = Client.call
+    planted = []
+
+    def call(self, verb, params=None, **kwargs):
+        # The first count request names a handle the daemon never made.
+        if verb == "count" and not planted:
+            planted.append(params["f"])
+            params = dict(params, f="h999999")
+        return real_call(self, verb, params, **kwargs)
+
+    monkeypatch.setattr(Client, "call", call)
+    r = serve_workload.run_round(1, None, ([script], [counts]))
+    assert planted
+    assert r.failed == 1
+    assert r.attempted == len(r.op_ms) > 1
+    assert r.errors == []
+    assert r.exact["subset_density_gain"] > 0
 
 
 # ----------------------------------------------------------------------
